@@ -25,6 +25,7 @@ from .dynamics import (
 from .errors import (
     DimensionMismatch,
     IndefiniteInput,
+    NonFiniteInput,
     NonHermitianInput,
     NotStrictlyPositive,
     NumericalBreakdown,
@@ -98,6 +99,7 @@ __all__ = [
     # errors
     "DimensionMismatch",
     "IndefiniteInput",
+    "NonFiniteInput",
     "NonHermitianInput",
     "NotStrictlyPositive",
     "NumericalBreakdown",

@@ -97,13 +97,12 @@ class SpecError(WRDynError):
 
 
 def _parse_scalar(value: Any, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(
-        isinstance(p, (int, float)) for p in value
-    ):
-        return complex(value[0], value[1])
-    raise SpecError(f"{path}: expected a number or an [re, im] pair, got {value!r}")
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value, 0]
+    if not all(isinstance(p, (int, float)) for p in parts):
+        raise SpecError(f"{path}: expected a number or an [re, im] pair, got {value!r}")
+    if not all(math.isfinite(p) for p in parts):
+        raise SpecError(f"{path}: expected a finite number, got {value!r}")
+    return complex(parts[0], parts[1])
 
 
 def _parse_vector(value: Any, path: str) -> np.ndarray:
@@ -776,12 +775,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _apply_overrides(spec, args)
             return cmd_check(spec, inject_error=args.inject_error)
         spec = parse_sweep_spec(args.spec)
-        if args.rank_tol is not None:
-            spec.rank_tol = args.rank_tol
-        if args.conv_tol is not None:
-            spec.conv_tol = args.conv_tol
-        if args.max_iter is not None:
-            spec.max_iter = args.max_iter
+        _apply_overrides(spec, args)
         return cmd_sweep(spec, args.out, args.workers)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)

@@ -1,17 +1,17 @@
 """Iteration engine: R -> R^{1/2} (I - uu*) R^{1/2} with certified traces.
 
-The engine records one :class:`StepRecord` per visited iterate, detects when
-the support (numerical range) stops changing, extracts the active block on
-that support, and from then on certifies every step against the identity
-checkers. A run ends by convergence (the step decrement is the gap
-``<u, R_n u>`` exactly, since the decrement is rank one), by reaching
-``max_iter``, or by numerical breakdown.
+The engine records one :class:`StepRecord` per visited iterate. Since
+``range(R_{n+1}) = R_n^{1/2}(u^perp)``, the support (numerical range) is fixed
+from the first iterate whose range does not contain ``u``; the engine extracts
+the active block on that support and from then on certifies every step
+against the identity checkers. A run ends by convergence (the step decrement
+is the gap ``<u, R_n u>`` exactly, since the decrement is rank one), by
+reaching ``max_iter``, or by numerical breakdown.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -33,7 +33,6 @@ EPS = float(np.finfo(np.float64).eps)
 RANK_TOL_DEFAULT = matcore.RANK_TOL_DEFAULT
 CONV_TOL_DEFAULT = 1e-11
 COUPLING_TOL_DEFAULT = 1e-10
-STAB_WINDOW_DEFAULT = 3
 MAX_ITER_DEFAULT = 10_000
 
 #: traces store full eigenvalue lists only up to this dimension
@@ -98,7 +97,6 @@ class WRConfig:
     rank_tol: float = RANK_TOL_DEFAULT
     conv_tol: float = CONV_TOL_DEFAULT
     coupling_tol: float = COUPLING_TOL_DEFAULT
-    stab_window: int = STAB_WINDOW_DEFAULT
     max_iter: int = MAX_ITER_DEFAULT
     keep_iterates: bool = False
     compute_residuals: bool = True
@@ -107,10 +105,9 @@ class WRConfig:
         for name in ("rank_tol", "conv_tol", "coupling_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.stab_window < 1:
-            raise ValueError("stab_window must be at least 1")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
+        matcore.require_finite(self.matrix, self.direction)
         A = matcore.require_hermitian(np.asarray(self.matrix, dtype=np.complex128))
         self.matrix = matcore.as_psd(A, self.rank_tol)
         self.direction = _unit_direction(self.direction)
@@ -212,11 +209,12 @@ class _ResidualTracker:
             self.det_floor, INV_COND_GUARD * lam_max
         ) and lam_min > self.rank_tol * max(1.0, lam_max)
 
-    def process(self, record: StepRecord, T: np.ndarray, root: Optional[np.ndarray]):
+    def process(
+        self, record: StepRecord, T: np.ndarray, w: np.ndarray, root: np.ndarray
+    ):
+        """Certify iterate ``T`` given its ascending eigenvalues and its root."""
         n = record.n
-        root_block = root if root is not None else matcore.psd_sqrt(T)
-        coords = identities.block_coordinates(T, self.e, root=root_block)
-        w = np.linalg.eigvalsh(T)
+        coords = identities.block_coordinates(T, self.e, root=root)
         det = float(np.prod(w))
         trusted = self._trusted(w[0], abs(w[-1]))
         res: dict[str, float] = {}
@@ -284,19 +282,17 @@ def _build_active(
     basis: np.ndarray,
     start: int,
     rank_tol: float,
-    validate: bool = True,
 ) -> ActiveBlock:
     block = matcore.compress(R, basis)
     u_e = basis.conj().T @ u
     tau = float(np.vdot(u_e, u_e).real)
-    if validate:
-        stepped_block = weighted_step(block, u_e, rank_tol)
-        compressed_step = matcore.compress(wr_step(R, u, rank_tol), basis)
-        dev = matcore.opnorm(stepped_block - compressed_step)
-        if dev > 1e-9 * max(1.0, matcore.opnorm(block)):
-            raise NumericalBreakdown(
-                f"compressed step deviates by {dev:.3e}: support not stabilized"
-            )
+    stepped_block = weighted_step(block, u_e, rank_tol)
+    compressed_step = matcore.compress(wr_step(R, u, rank_tol), basis)
+    dev = matcore.opnorm(stepped_block - compressed_step)
+    if dev > 1e-9 * max(1.0, matcore.opnorm(block)):
+        raise NumericalBreakdown(
+            f"compressed step deviates by {dev:.3e}: support not stabilized"
+        )
     direction = u_e / np.sqrt(tau) if tau > rank_tol else None
     return ActiveBlock(
         basis=basis,
@@ -327,7 +323,7 @@ def extract_active_block(R, u, rank_tol: float = RANK_TOL_DEFAULT) -> ActiveBloc
 def detect_stabilization(
     iterates: Sequence[np.ndarray],
     rank_tol: float = RANK_TOL_DEFAULT,
-    stab_window: int = STAB_WINDOW_DEFAULT,
+    stab_window: int = 3,
 ) -> Optional[int]:
     """Smallest index N from which rank and range persist to the end.
 
@@ -357,20 +353,21 @@ def detect_stabilization(
 def iterate(cfg: WRConfig) -> WRTrace:
     """Run the dynamics to convergence, ``max_iter``, or breakdown.
 
-    The run has two phases.  Before the support stabilizes, the full ambient
-    matrix is iterated.  Once stabilization is declared, the window is
-    replayed on the compressed block from the stabilization point and the
-    engine iterates the block alone from then on: restriction commutes with
-    the step (validated at extraction), directions outside the support stay
+    One loop carries a state ``S`` and a direction ``x``.  They start as the
+    ambient iterate and ``u``.  At the first step ``n`` whose range does not
+    hold ``u`` (``1 - |P_range u|^2 > rank_tol``) the support is fixed for
+    good, since ``range(R_{n+1}) = R_n^{1/2}(u^perp)``; so the ambient phase
+    lasts at most ``rank(R_0)`` steps.  From then on ``S`` is the compressed
+    block and ``x`` the compressed direction: restriction commutes with the
+    step (validated at extraction), directions outside the support stay
     exactly inert instead of reinjecting square-root roundoff, and each step
     costs a block-sized eigendecomposition instead of an ambient one.
     Records keep ambient semantics throughout (eigenvalues are padded with
     the exact zeros of the shed directions).
     """
-    R = cfg.matrix.copy()
-    u = cfg.direction
-    dim = R.shape[0]
-    sine_tol = float(np.sqrt(cfg.rank_tol))
+    S = cfg.matrix.copy()
+    x = cfg.direction
+    dim = S.shape[0]
     store_eigs = dim <= EIGENVALUE_STORE_LIMIT
 
     records: list[StepRecord] = []
@@ -379,14 +376,6 @@ def iterate(cfg: WRConfig) -> WRTrace:
     stabilized_at: Optional[int] = None
     active: Optional[ActiveBlock] = None
     tracker: Optional[_ResidualTracker] = None
-    window: deque[tuple[int, np.ndarray]] = deque(maxlen=cfg.stab_window)
-    cand: Optional[int] = None
-    cand_rank = -1
-    cand_basis: Optional[np.ndarray] = None
-
-    # block-phase state (set at stabilization)
-    T: Optional[np.ndarray] = None
-    u_act: Optional[np.ndarray] = None
     pad = 0
 
     converged = False
@@ -395,32 +384,10 @@ def iterate(cfg: WRConfig) -> WRTrace:
     limit: Optional[np.ndarray] = None
     norm_r0: Optional[float] = None
 
-    def embed(Tb: np.ndarray) -> np.ndarray:
-        return matcore.hermitian_part(active.basis @ Tb @ active.basis.conj().T)
-
-    def ambient_record(n: int, w: np.ndarray, gap: float) -> StepRecord:
-        thresh = cfg.rank_tol * max(1.0, w[-1])
-        return StepRecord(
-            n=n,
-            eigenvalues=w.copy() if store_eigs else None,
-            lambda_min=float(w[0]),
-            lambda_max=float(w[-1]),
-            det=float(np.prod(np.clip(w, 0.0, None))),
-            rank=int(np.count_nonzero(w > thresh)),
-            trace=float(w.sum()),
-            gap=gap,
-        )
-
-    def block_record(n: int, w_blk: np.ndarray, Tb: np.ndarray) -> StepRecord:
-        w_amb = np.sort(np.concatenate([np.zeros(pad), w_blk])) if pad else w_blk
-        return ambient_record(n, w_amb, step_gap(Tb, u_act))
-
-    def block_root(w_blk: np.ndarray, vecs: np.ndarray, Tb: np.ndarray) -> np.ndarray:
-        if _diagonal_like(Tb):
-            return matcore.psd_sqrt(Tb, cfg.rank_tol)
-        return matcore.hermitian_part(
-            (vecs * np.sqrt(np.clip(w_blk, 0.0, None))) @ vecs.conj().T
-        )
+    def embed(M: np.ndarray) -> np.ndarray:
+        if active is None:
+            return M.copy()
+        return matcore.hermitian_part(active.basis @ M @ active.basis.conj().T)
 
     def finalize() -> WRTrace:
         run_res: dict[str, float] = {}
@@ -451,146 +418,88 @@ def iterate(cfg: WRConfig) -> WRTrace:
     )
 
     n = 0
-    while True:
-        in_block = T is not None
-        if in_block:
-            dec = matcore.eigh(T)
-        else:
-            dec = matcore.eigh(R)
-        w = dec.eigenvalues
-        if norm_r0 is None:
-            norm_r0 = float(np.abs(w).max()) if w.size else 0.0
-        if w[0] < -cfg.rank_tol * max(1.0, w[-1]):
-            exc = NumericalBreakdown(
-                f"iterate {n} has eigenvalue {w[0]:.3e} below the clamp band"
+    try:
+        while True:
+            dec = matcore.eigh(S)
+            w = dec.eigenvalues
+            if norm_r0 is None:
+                norm_r0 = float(np.abs(w).max()) if w.size else 0.0
+            if w[0] < -cfg.rank_tol * max(1.0, w[-1]):
+                raise NumericalBreakdown(
+                    f"iterate {n} has eigenvalue {w[0]:.3e} below the clamp band",
+                    trace=finalize(),
+                )
+
+            w_amb = np.sort(np.concatenate([np.zeros(pad), w])) if pad else w
+            thresh = cfg.rank_tol * max(1.0, w_amb[-1])
+            rec = StepRecord(
+                n=n,
+                eigenvalues=w_amb.copy() if store_eigs else None,
+                lambda_min=float(w_amb[0]),
+                lambda_max=float(w_amb[-1]),
+                det=float(np.prod(np.clip(w_amb, 0.0, None))),
+                rank=int(np.count_nonzero(w_amb > thresh)),
+                trace=float(w_amb.sum()),
+                gap=step_gap(S, x),
             )
-            limit = None
-            exc.trace = finalize()
-            raise exc
+            records.append(rec)
+            if iterates_list is not None:
+                iterates_list.append(embed(S))
+            logger.debug("step %d: rank=%d gap=%.3e", n, rec.rank, rec.gap)
 
-        rec = block_record(n, w, T) if in_block else ambient_record(n, w, step_gap(R, u))
-        records.append(rec)
-        if iterates_list is not None:
-            iterates_list.append(embed(T) if in_block else R.copy())
-        logger.debug("step %d: rank=%d gap=%.3e", n, rec.rank, rec.gap)
-
-        # --- online support-stabilization detection -----------------------
-        if stabilized_at is None and rec.rank > 0:
-            thresh = cfg.rank_tol * max(1.0, w[-1])
-            keep = np.flatnonzero(w > thresh)
-            basis = dec.vectors[:, keep[::-1]]
-            if (
-                cand is None
-                or rec.rank != cand_rank
-                or matcore.subspace_sine(cand_basis, basis) > sine_tol
-            ):
-                cand, cand_rank, cand_basis = n, rec.rank, basis
-            window.append((n, R.copy()))
-            if n - cand + 1 >= cfg.stab_window:
-                u_cand = cand_basis.conj().T @ u
-                tau = float(np.vdot(u_cand, u_cand).real)
-                if 1.0 - tau <= cfg.rank_tol:
-                    # direction numerically inside the range: a drop is
-                    # imminent, restart detection
-                    logger.debug("step %d: stabilization rejected, tau=%.3g", n, tau)
-                    cand = cand_basis = None
-                    cand_rank = -1
-                else:
-                    start_R = dict(window)[cand]
-                    active = _build_active(
-                        start_R, u, cand_basis, cand, cfg.rank_tol
-                    )
-                    stabilized_at = cand
+            if active is None and not converged and rec.rank > 0:
+                keep = np.flatnonzero(w > thresh)
+                basis = dec.vectors[:, keep[::-1]]
+                u_b = basis.conj().T @ x
+                if 1.0 - float(np.vdot(u_b, u_b).real) > cfg.rank_tol:
+                    active = _build_active(S, x, basis, n, cfg.rank_tol)
+                    stabilized_at = n
                     logger.info(
                         "support stabilized at N=%d: dim=%d tau=%.6g",
-                        cand,
-                        active.basis.shape[1],
+                        n,
+                        basis.shape[1],
                         active.tau,
                     )
                     if cfg.compute_residuals and active.tau > cfg.rank_tol:
                         tracker = _ResidualTracker(
                             active, cfg.coupling_tol, rank_tol=cfg.rank_tol
                         )
-                    # switch to the block phase: replay the detection window
-                    # on the compressed block so every record from the
-                    # stabilization point reflects the restricted dynamics
-                    u_act = active.weight_vector
-                    pad = dim - active.basis.shape[1]
-                    T = active.block.copy()
-                    for idx in range(cand, n):
-                        root_re = matcore.psd_sqrt(T, cfg.rank_tol)
-                        if tracker is not None:
-                            tracker.process(records[idx], T, root_re)
-                        v_re = root_re @ u_act
-                        T = matcore.hermitian_part(T - np.outer(v_re, v_re.conj()))
-                        records[idx + 1] = block_record(
-                            idx + 1, np.linalg.eigvalsh(T), T
-                        )
-                        if iterates_list is not None:
-                            iterates_list[idx + 1] = embed(T)
-                    rec = records[n]
-                    in_block = True
-                    dec = matcore.eigh(T)
+                    S, x = active.block.copy(), active.weight_vector
+                    pad = dim - basis.shape[1]
+                    dec = matcore.eigh(S)
                     w = dec.eigenvalues
-                    window.clear()
 
-        if n == cfg.max_iter:
-            if not converged:
-                max_iter_exceeded = True
-            limit = embed(T) if in_block else R.copy()
-            logger.info("max_iter=%d reached without convergence", cfg.max_iter)
-            if tracker is not None:
-                tracker.process(rec, T, root=None)
-            break
-
-        # --- one step -------------------------------------------------------
-        if in_block:
-            root = block_root(w, dec.vectors, T)
-            if tracker is not None:
-                tracker.process(rec, T, root=root)
-            v = root @ u_act
-            decrement = float(np.vdot(v, v).real)
-            state_next = matcore.hermitian_part(T - np.outer(v, v.conj()))
-        else:
-            root = block_root(w, dec.vectors, R)
-            v = root @ u
-            decrement = float(np.vdot(v, v).real)
-            state_next = matcore.hermitian_part(R - np.outer(v, v.conj()))
-
-        if rec.gap <= cfg.conv_tol and decrement <= cfg.conv_tol * max(1.0, norm_r0):
-            converged = True
-            converged_at = n
-            if in_block:
-                T = state_next
-                final_rec = block_record(n + 1, np.linalg.eigvalsh(T), T)
-                limit = embed(T)
+            if matcore._is_entrywise_diagonal(S):
+                root = matcore.psd_sqrt(S, cfg.rank_tol)
             else:
-                R = state_next
-                final_rec = ambient_record(
-                    n + 1, np.linalg.eigvalsh(R), step_gap(R, u)
+                V = dec.vectors
+                root = matcore.hermitian_part(
+                    (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
                 )
-                limit = R.copy()
-            records.append(final_rec)
-            if iterates_list is not None:
-                iterates_list.append(embed(T) if in_block else R.copy())
             if tracker is not None:
-                tracker.process(final_rec, T, root=None)
-            logger.info("converged at n=%d (gap %.3e)", n, rec.gap)
-            break
+                tracker.process(rec, S, w, root)
+            if converged or n == cfg.max_iter:
+                if not converged:
+                    max_iter_exceeded = True
+                    logger.info(
+                        "max_iter=%d reached without convergence", cfg.max_iter
+                    )
+                limit = embed(S)
+                break
 
-        if in_block:
-            T = state_next
-        else:
-            R = state_next
-        n += 1
+            v = root @ x
+            decrement = float(np.vdot(v, v).real)
+            small_step = decrement <= cfg.conv_tol * max(1.0, norm_r0)
+            if rec.gap <= cfg.conv_tol and small_step:
+                converged = True
+                converged_at = n
+                logger.info("converged at n=%d (gap %.3e)", n, rec.gap)
+            S = matcore.hermitian_part(S - np.outer(v, v.conj()))
+            n += 1
+    except np.linalg.LinAlgError as err:
+        raise NumericalBreakdown(f"iterate {n}: {err}", trace=finalize()) from err
 
     return finalize()
-
-
-def _diagonal_like(A: np.ndarray) -> bool:
-    off = A.copy()
-    np.fill_diagonal(off, 0.0)
-    return not off.any()
 
 
 def iterate_weighted(T0, w, **config_kwargs) -> WRTrace:

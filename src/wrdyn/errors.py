@@ -15,6 +15,10 @@ class NonHermitianInput(WRDynError):
     """A matrix expected to be Hermitian deviates beyond tolerance."""
 
 
+class NonFiniteInput(WRDynError):
+    """An input array holds a NaN or infinite entry."""
+
+
 class IndefiniteInput(WRDynError):
     """A matrix expected to be PSD has an eigenvalue below the clamp tolerance."""
 

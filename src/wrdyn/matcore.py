@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IndefiniteInput,
+    NonFiniteInput,
     NonHermitianInput,
     ZeroVector,
 )
@@ -37,6 +38,13 @@ def _as_vector(v) -> np.ndarray:
     if x.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got shape {x.shape}")
     return x
+
+
+def require_finite(*arrays) -> None:
+    """Reject input holding a NaN or infinite entry."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NonFiniteInput("input has a NaN or infinite entry")
 
 
 def hermitian_part(M) -> np.ndarray:

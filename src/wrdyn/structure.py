@@ -300,7 +300,6 @@ def analyze_instance(
     *,
     conv_tol: float = dynamics.CONV_TOL_DEFAULT,
     coupling_tol: float = dynamics.COUPLING_TOL_DEFAULT,
-    stab_window: int = dynamics.STAB_WINDOW_DEFAULT,
     max_iter: int = dynamics.MAX_ITER_DEFAULT,
     compute_residuals: bool = True,
 ) -> InstanceReport:
@@ -309,6 +308,7 @@ def analyze_instance(
     Shares a single run between the limit prediction, the numerical limit
     estimate, and the stationarity certificate.
     """
+    matcore.require_finite(R, u)
     R = matcore.as_psd(matcore._as_matrix(R), rank_tol=rank_tol)
     u = _unit_or_raise(u, R.shape[0])
     split = maximal_reducing_in_uperp(R, u, rank_tol=rank_tol)
@@ -321,7 +321,6 @@ def analyze_instance(
         rank_tol=rank_tol,
         conv_tol=conv_tol,
         coupling_tol=coupling_tol,
-        stab_window=stab_window,
         max_iter=max_iter,
         compute_residuals=compute_residuals,
     )
@@ -451,7 +450,6 @@ def predict_limit(
     *,
     conv_tol: float = dynamics.CONV_TOL_DEFAULT,
     coupling_tol: float = dynamics.COUPLING_TOL_DEFAULT,
-    stab_window: int = dynamics.STAB_WINDOW_DEFAULT,
     max_iter: int = dynamics.MAX_ITER_DEFAULT,
 ) -> ClassificationResult:
     """Predict the limit of the iteration started at ``(R, u)``.
@@ -467,7 +465,6 @@ def predict_limit(
         rank_tol,
         conv_tol=conv_tol,
         coupling_tol=coupling_tol,
-        stab_window=stab_window,
         max_iter=max_iter,
     )
     return report.classification

@@ -179,6 +179,8 @@ class TestRun:
                 "format",
             ),
             ({"matrix": [[1, "x"], [0, 1]], "u": [1, 0]}, "pair"),
+            ({"matrix": [[1, 0], [0, float("nan")]], "u": [1, 0]}, "finite"),
+            ({"matrix": [[1, 0], [0, 1]], "u": [[1, float("inf")], 0]}, "finite"),
         ],
     )
     def test_invalid_specs_exit_1(self, tmp_path, capsys, payload, fragment):

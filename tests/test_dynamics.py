@@ -10,10 +10,12 @@ from wrdyn.errors import (
     DimensionMismatch,
     EmptySupport,
     InvalidDirection,
+    NonFiniteInput,
+    NumericalBreakdown,
     WeightTooLarge,
 )
 
-from conftest import canonical_block, canonical_instance, random_psd, random_unit
+from wrdyn_helpers import canonical_block, canonical_instance, random_psd, random_unit
 
 E1_2 = np.array([1.0, 0.0], dtype=np.complex128)
 
@@ -196,8 +198,25 @@ def test_config_validation_errors():
         dynamics.WRConfig(np.eye(2), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         dynamics.WRConfig(np.eye(2), E1_2, conv_tol=0.0)
-    with pytest.raises(ValueError):
-        dynamics.WRConfig(np.eye(2), E1_2, stab_window=0)
+    with pytest.raises(NonFiniteInput):
+        dynamics.WRConfig(np.diag([1.0, np.inf]), E1_2)
+
+
+def test_linalg_failure_is_a_breakdown_with_partial_trace(monkeypatch):
+    R, u = canonical_instance()
+    eigh = matcore.eigh
+    calls = []
+
+    def failing_eigh(H):
+        calls.append(None)
+        if len(calls) > 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(H)
+
+    monkeypatch.setattr(matcore, "eigh", failing_eigh)
+    with pytest.raises(NumericalBreakdown) as info:
+        dynamics.iterate(dynamics.WRConfig(R, u))
+    assert [rec.n for rec in info.value.trace.records] == [0, 1]
 
 
 def test_runs_are_deterministic(rng):

@@ -23,7 +23,7 @@ from wrdyn.errors import (
     WeightOutOfRange,
 )
 
-from conftest import canonical_block
+from wrdyn_helpers import canonical_block
 
 E1 = np.array([1.0, 0.0], dtype=np.complex128)
 TAU = 0.5
@@ -59,7 +59,7 @@ def test_block_coordinates_canonical_values():
 
 
 def test_reassembly_reproduces_block(rng):
-    from conftest import random_psd, random_unit
+    from wrdyn_helpers import random_psd, random_unit
 
     for dim in (2, 4, 6):
         T = random_psd(dim, rng)

@@ -13,7 +13,7 @@ from wrdyn.errors import (
     ZeroVector,
 )
 
-from conftest import canonical_block, random_psd, random_unit
+from wrdyn_helpers import canonical_block, random_psd, random_unit
 
 EXACT = 0.0
 EIG_TOL = 1e-14

@@ -217,8 +217,11 @@ class TestCrossValidate:
             assert report.max_errors[quantity] > 1e-10
 
     def test_requires_stabilized_two_dim_block(self):
-        # No stabilized block: the run is cut before the detection window fills.
-        short = dynamics.iterate_weighted(REF_BLOCK, REF_WEIGHT, max_iter=1)
+        # No stabilized block: a full-rank start whose range holds u, cut
+        # before its first step.
+        short = dynamics.iterate(
+            dynamics.WRConfig(REF_BLOCK, np.array([1.0, 0.0]), max_iter=0)
+        )
         assert short.active is None
         hw = oracle.half_weight_recursion(*REF_START, steps=5)
         with pytest.raises(IncompatibleTraces):

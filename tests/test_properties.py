@@ -167,8 +167,17 @@ class TestStepInvariants:
         assert all(a >= b - 1e-10 for a, b in zip(traces, traces[1:]))
         for prev, cur in zip(trace.iterates, trace.iterates[1:]):
             assert matcore.loewner_leq(cur, prev, 1e-9)
+        # exact rule: the support is fixed from the first iterate whose range
+        # does not hold u, which comes after at most rank(R_0) steps
+        outside = [
+            1.0 - np.linalg.norm(matcore.range_basis(A).conj().T @ cfg.direction) ** 2
+            > cfg.rank_tol
+            for A in trace.iterates
+        ]
         if trace.stabilized_at is not None:
             assert trace.stabilized_at <= dim
+            assert trace.stabilized_at == outside.index(True)
+            assert trace.stabilized_at <= rank
 
     @given(seed=seeds, dim=st.integers(1, 5))
     @settings(deadline=None)

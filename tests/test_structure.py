@@ -9,11 +9,12 @@ from wrdyn import dynamics, matcore, structure
 from wrdyn.errors import (
     DimensionMismatch,
     InvalidDirection,
+    NonFiniteInput,
     NotStrictlyPositive,
     WeightOutOfRange,
 )
 
-from conftest import canonical_block, canonical_instance, random_psd, random_unit
+from wrdyn_helpers import canonical_block, canonical_instance, random_psd, random_unit
 
 E0_2 = np.array([1.0, 0.0], dtype=np.complex128)
 E0_3 = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
@@ -248,3 +249,5 @@ def test_analyze_instance_shares_one_run():
     assert rep.split.seed_dim == 3
     assert rep.trace.stabilized_at == 0
     assert rep.classification.certificate["converged"] == 1.0
+    with pytest.raises(NonFiniteInput):
+        structure.analyze_instance(np.where(R == 2.0, np.nan, R), u)
