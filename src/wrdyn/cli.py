@@ -359,11 +359,6 @@ def write_trace(trace: dynamics.WRTrace, path: str, fmt: str) -> None:
             writer.writerow(row)
 
 
-def read_trace(path: str) -> Dict[str, Any]:
-    """Read back a JSON trace written by :func:`write_trace`."""
-    return _load_json(path)
-
-
 def _report_payload(report: structure.InstanceReport, exit_code: int) -> Dict[str, Any]:
     trace = report.trace
     cls = report.classification
@@ -589,7 +584,6 @@ def cmd_check(spec: RunSpec, inject_error: bool = False) -> int:
 def _sweep_task(args: Tuple[str, int, float, int, float, float, int]) -> Dict[str, Any]:
     ensemble, dim, tau_target, seed, rank_tol, conv_tol, max_iter = args
     started = time.perf_counter()
-    R, u = ensembles.sweep_instance(ensemble, dim, tau_target, seed)
     row: Dict[str, Any] = {
         "seed": seed,
         "dim": dim,
@@ -597,16 +591,22 @@ def _sweep_task(args: Tuple[str, int, float, int, float, float, int]) -> Dict[st
         "breakdown": False,
     }
     try:
+        R, u = ensembles.sweep_instance(ensemble, dim, tau_target, seed)
         report = structure.analyze_instance(
             R, u, rank_tol=rank_tol, conv_tol=conv_tol, max_iter=max_iter
         )
-    except NumericalBreakdown as exc:
+    except WRDynError as exc:
+        # one failed task is one error row; the rest of the sweep goes on
+        logger.warning(
+            "sweep task seed=%d dim=%d failed: %s: %s", seed, dim, type(exc).__name__, exc
+        )
+        partial = getattr(exc, "trace", None)
         row.update(
             active_dim=0,
             tau=float("nan"),
             limit_rank=-1,
             max_residual=float("nan"),
-            steps=len(exc.trace.records) - 1 if exc.trace is not None else 0,
+            steps=len(partial.records) - 1 if partial is not None else 0,
             wall_time=time.perf_counter() - started,
             breakdown=True,
         )

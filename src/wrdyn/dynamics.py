@@ -266,9 +266,9 @@ class _ResidualTracker:
             predicted = (self.rho ** (n - self.start)) * self.a_start * np.outer(
                 ev, ev.conj()
             ) + self.B_start
-            res["transverse_persistence"] = matcore.opnorm(T - predicted) / max(
-                1.0, self.norm_start
-            )
+            res["transverse_persistence"] = matcore.hermitian_norm(
+                T - predicted
+            ) / max(1.0, self.norm_start)
 
         record.block_coords = coords if self.store_coords else None
         record.block_det = det
@@ -437,7 +437,7 @@ def iterate(cfg: WRConfig) -> WRTrace:
                 eigenvalues=w_amb.copy() if store_eigs else None,
                 lambda_min=float(w_amb[0]),
                 lambda_max=float(w_amb[-1]),
-                det=float(np.prod(np.clip(w_amb, 0.0, None))),
+                det=float(w_amb.clip(0.0, None).prod()),
                 rank=int(np.count_nonzero(w_amb > thresh)),
                 trace=float(w_amb.sum()),
                 gap=step_gap(S, x),
@@ -474,7 +474,7 @@ def iterate(cfg: WRConfig) -> WRTrace:
             else:
                 V = dec.vectors
                 root = matcore.hermitian_part(
-                    (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+                    (V * np.sqrt(w.clip(0.0, None))) @ V.conj().T
                 )
             if tracker is not None:
                 tracker.process(rec, S, w, root)

@@ -20,7 +20,7 @@ e, so ``reassemble`` rebuilds T without choosing a basis of the complement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,25 +39,25 @@ _TINY = 1e-300
 
 @dataclass
 class BlockCoordinates:
-    """Split of a Hermitian block along the defect direction."""
+    """Split of a Hermitian block along the defect direction.
+
+    The scalars the checks read (``coupling_norm``, ``root_coupling_sq`` and
+    ``transverse_trace``) are computed once, at construction.
+    """
 
     defect_diag: float
     coupling: np.ndarray
     transverse: np.ndarray
     root_coupling: np.ndarray
+    coupling_norm: float = field(init=False)
+    root_coupling_sq: float = field(init=False)
+    transverse_trace: float = field(init=False)
 
-    @property
-    def coupling_norm(self) -> float:
-        return float(np.linalg.norm(self.coupling))
-
-    @property
-    def root_coupling_sq(self) -> float:
+    def __post_init__(self):
         y = self.root_coupling
-        return float(np.vdot(y, y).real)
-
-    @property
-    def transverse_trace(self) -> float:
-        return float(self.transverse.trace().real)
+        self.coupling_norm = float(np.linalg.norm(self.coupling))
+        self.root_coupling_sq = float(np.vdot(y, y).real)
+        self.transverse_trace = float(self.transverse.trace().real)
 
 
 @dataclass
@@ -136,7 +136,7 @@ def check_B_decrement(cur: BlockCoordinates, nxt: BlockCoordinates, tau: float) 
     _check_weight(tau)
     y = cur.root_coupling
     D = nxt.transverse - cur.transverse + tau * np.outer(y, y.conj())
-    op = matcore.opnorm(D) / max(1.0, matcore.opnorm(cur.transverse))
+    op = matcore.hermitian_norm(D) / max(1.0, matcore.hermitian_norm(cur.transverse))
     tr = abs(
         nxt.transverse_trace - cur.transverse_trace + tau * cur.root_coupling_sq
     ) / max(1.0, abs(cur.transverse_trace))
@@ -206,7 +206,8 @@ def check_inverse_update(
     """Inverse recursion: T'^{-1} = T^{-1} + (tau/rho) vv*, v = T^{-1/2} e.
 
     The residual also covers the rank-one shape of the increment (second
-    singular value of the inverse difference relative to its first).
+    singular value of the inverse difference relative to its first; the
+    difference is Hermitian, so its singular values are its |eigenvalues|).
     """
     rho = _check_weight(tau)
     ev = _unit(e)
@@ -214,11 +215,11 @@ def check_inverse_update(
     _, inv_next, _ = _strict_inverse(T_next, rank_tol)
     v = invroot_cur @ ev
     D = inv_next - inv_cur
-    formula = matcore.opnorm(D - (tau / rho) * np.outer(v, v.conj())) / max(
-        1.0, matcore.opnorm(inv_cur)
+    formula = matcore.hermitian_norm(D - (tau / rho) * np.outer(v, v.conj())) / max(
+        1.0, matcore.hermitian_norm(inv_cur)
     )
-    s = np.linalg.svd(D, compute_uv=False)
-    rank_one = float(s[1] / max(s[0], _TINY)) if s.size >= 2 else 0.0
+    s = np.sort(np.abs(np.linalg.eigvalsh(D)))
+    rank_one = float(s[-2] / max(s[-1], _TINY)) if s.size >= 2 else 0.0
     return max(formula, rank_one)
 
 

@@ -83,18 +83,24 @@ class EigenDecomposition:
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
-    V = V.copy()
-    for i in range(V.shape[1]):
-        col = V[:, i]
-        mags = np.abs(col)
-        peak = mags.max()
-        if peak == 0.0:
-            continue
-        idx = int(np.argmax(mags > 1e-12 * peak))
-        pivot = col[idx]
-        if pivot != 0:
-            V[:, i] = col * (pivot.conjugate() / abs(pivot))
-    return V
+    """Scale each column so its first entry above ``1e-12 * peak`` is real positive.
+
+    Vectorized over the columns; the phase factor and the product use the same
+    floating-point operations as a per-column ``col * (conj(p) / |p|)``, so
+    the output matches that loop bit for bit.  Zero columns are kept as is.
+    """
+    if V.size == 0:
+        return V.copy()
+    mags = np.abs(V)
+    first = (mags > 1e-12 * mags.max(axis=0)).argmax(axis=0)
+    pivot = V[first, np.arange(V.shape[1])]
+    size = np.hypot(pivot.real, pivot.imag)
+    zero = size == 0.0
+    size[zero] = 1.0
+    # column against a broadcast scalar, as in the loop: ``V * phase`` takes
+    # another numpy loop for 1x1 input, which rounds the product differently
+    out = (V.T * (pivot.conj() / size)[:, None]).T
+    return np.where(zero, V, out) if zero.any() else out
 
 
 def eigh(H) -> EigenDecomposition:
@@ -126,9 +132,7 @@ def as_psd(H, rank_tol: float = RANK_TOL_DEFAULT) -> np.ndarray:
 
 
 def _is_entrywise_diagonal(A: np.ndarray) -> bool:
-    off = A.copy()
-    np.fill_diagonal(off, 0.0)
-    return not off.any()
+    return np.count_nonzero(A) == np.count_nonzero(A.diagonal())
 
 
 def psd_sqrt(S, rank_tol: float = RANK_TOL_DEFAULT) -> np.ndarray:
@@ -215,6 +219,19 @@ def opnorm(M) -> float:
     if A.size == 0:
         return 0.0
     return float(np.linalg.norm(A, 2))
+
+
+def hermitian_norm(H) -> float:
+    """Spectral norm of a Hermitian matrix, ``max |eigenvalue|``.
+
+    Exact for Hermitian input (its singular values are its ``|eigenvalues|``)
+    and cheaper than the SVD behind :func:`opnorm`.  Only the lower triangle
+    is read.
+    """
+    w = np.linalg.eigvalsh(H)
+    if w.size == 0:
+        return 0.0
+    return float(max(-w[0], w[-1]))
 
 
 def loewner_leq(A, B, tol: float = RANK_TOL_DEFAULT) -> bool:

@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from wrdyn import cli, structure
+from wrdyn import cli, ensembles, structure
 from wrdyn.cli import main
+from wrdyn.errors import NotStrictlyPositive
 
 
 def write_json(path, payload):
@@ -324,6 +325,31 @@ class TestSweep:
         assert (out_dir / "sweep.csv").exists()
         assert not (out_dir / "histogram.json").exists()
         assert not (out_dir / "residual_max.json").exists()
+
+    def test_failing_task_is_one_error_row(self, tmp_path, monkeypatch):
+        failing_R, _ = ensembles.sweep_instance("coupled-block", 3, 0.5, 1)
+        analyze = structure.analyze_instance
+
+        def analyze_or_fail(R, u, *args, **kwargs):
+            if np.array_equal(R, failing_R):
+                raise NotStrictlyPositive("planted failure")
+            return analyze(R, u, *args, **kwargs)
+
+        monkeypatch.setattr(structure, "analyze_instance", analyze_or_fail)
+        out_dir = tmp_path / "out"
+        code = main(["sweep", self.sweep_spec(tmp_path), "--out", str(out_dir), "--workers", "1"])
+        assert code == cli.EXIT_BREAKDOWN
+        with open(out_dir / "sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = {(int(r["seed"]), int(r["dim"])): r for r in csv.DictReader(fh)}
+        assert len(rows) == 6
+        failed = rows.pop((1, 3))
+        assert (failed["active_dim"], failed["limit_rank"], failed["steps"]) == ("0", "-1", "0")
+        assert failed["max_residual"] == "nan" and failed["tau"] == "nan"
+        for row in rows.values():
+            assert int(row["steps"]) > 0 and float(row["max_residual"]) < 1e-7
+        res = json.loads((out_dir / "residual_max.json").read_text())
+        assert res["breakdowns"] == 1
+        assert json.loads((out_dir / "histogram.json").read_text())["total_runs"] == 6
 
     @pytest.mark.parametrize(
         "payload, fragment",

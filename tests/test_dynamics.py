@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wrdyn import dynamics, matcore
+from wrdyn import dynamics, ensembles, identities, matcore
 from wrdyn.errors import (
     DimensionMismatch,
     EmptySupport,
@@ -125,6 +125,31 @@ def test_stabilization_residuals_certify_canonical_run():
     # conditioning guard kicks in once the block degenerates
     assert tr.inverse_checks_stopped_at is not None
     assert 15 <= tr.inverse_checks_stopped_at <= 40
+
+
+@pytest.mark.parametrize("case", ["canonical", "wishart-4"])
+def test_tracker_residuals_equal_the_offline_checks(case):
+    # The tracker folds the identities over the run: applied to the stored
+    # block coordinates, the offline checkers give each record's residual.
+    if case == "canonical":
+        R, u = canonical_instance()  # the canonical block at tau = 0.5
+    else:
+        R, u = ensembles.sweep_instance("wishart", 4, 0.5, 0)
+    tr = dynamics.iterate(dynamics.WRConfig(R, u, max_iter=1000))
+    active = tr.active
+    norm_t0 = matcore.opnorm(active.block)
+    recs = tr.records[active.start :]
+    assert len(recs) > 100
+    assert "a_recursion" not in recs[0].residuals
+    assert recs[0].residuals["offdiag_cs"] == identities.check_offdiag_collapse(
+        [recs[0].block_coords], norm_t0
+    )
+    for prev, rec in zip(recs, recs[1:]):
+        p, c = prev.block_coords, rec.block_coords
+        res = rec.residuals
+        assert res["a_recursion"] == identities.check_a_recursion(p, c, active.tau)
+        assert res["B_decrement"] == identities.check_B_decrement(p, c, active.tau)
+        assert res["offdiag_cs"] == identities.check_offdiag_collapse([c], norm_t0)
 
 
 def test_block_sequence_matches_frozen_second_step():
