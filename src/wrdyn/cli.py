@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import dynamics, ensembles, matcore, oracle, structure
+from . import dynamics, ensembles, identities, matcore, oracle, structure
 from .errors import NumericalBreakdown, WRDynError
 
 logger = logging.getLogger("wrdyn.cli")
@@ -464,43 +464,33 @@ def cmd_run(spec: RunSpec) -> int:
 
 def _recompute_det_decay(
     trace: dynamics.WRTrace, inject_error: bool
-) -> Tuple[float, int]:
+) -> Optional[float]:
     """Re-derive the determinant decay residual from recorded block data.
 
     Uses only what a serialized trace contains (block determinants and
     block traces), independent of the residuals computed during the run.
     Comparisons are restricted to steps where the determinant is
-    numerically resolvable (same trust ratio as the oracle module).
-    Returns (max residual, number of pairs checked).
+    numerically resolvable (:func:`oracle.det_trusted`). Returns the max
+    residual, or None when no two consecutive determinants are trusted.
     """
     active = trace.active
     if active is None or not (0.0 < active.tau < 1.0):
-        return 0.0, 0
-    rho = active.rho
+        return None
     recs = [r for r in trace.records[active.start :] if r.block_coords is not None]
-    dets: List[Optional[float]] = []
-    for rec in recs:
-        c = rec.block_coords
-        block_trace = c.defect_diag + c.transverse_trace
-        det = rec.block_det if rec.block_det is not None else 0.0
-        trusted = (
-            block_trace > 0.0
-            and det / (block_trace * block_trace) >= oracle.DET_TRUST_RATIO
-        )
-        dets.append(det if trusted else None)
+    dets: List[Optional[float]] = [
+        rec.block_det if oracle.det_trusted(rec) else None for rec in recs
+    ]
     if inject_error:
         trusted_idx = [i for i, d in enumerate(dets) if d is not None]
         if trusted_idx:
             mid = trusted_idx[len(trusted_idx) // 2]
             dets[mid] = dets[mid] * (1.0 + 1e-3)
-    worst = 0.0
-    checked = 0
-    for prev, nxt in zip(dets, dets[1:]):
-        if prev is None or nxt is None:
-            continue
-        checked += 1
-        worst = max(worst, abs(nxt / (rho * prev) - 1.0))
-    return worst, checked
+    residuals = [
+        identities.check_det_decay(prev, nxt, active.tau)
+        for prev, nxt in zip(dets, dets[1:])
+        if prev is not None and nxt is not None
+    ]
+    return max(0.0, *residuals) if residuals else None
 
 
 def _cross_validation_residual(trace: dynamics.WRTrace) -> Optional[float]:
@@ -550,11 +540,10 @@ def cmd_check(spec: RunSpec, inject_error: bool = False) -> int:
         value = trace.run_residuals.get(key)
         rows.append((key, value, CHECK_TOLERANCES[key]))
 
-    det_recomputed, det_pairs = _recompute_det_decay(trace, inject_error)
     rows.append(
         (
             "det_decay_recomputed",
-            det_recomputed if det_pairs else None,
+            _recompute_det_decay(trace, inject_error),
             CHECK_TOLERANCES["det_decay_recomputed"],
         )
     )

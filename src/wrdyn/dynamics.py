@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -54,13 +54,8 @@ def _unit_direction(u) -> np.ndarray:
 
 
 def wr_step(R, u, rank_tol: float = RANK_TOL_DEFAULT) -> np.ndarray:
-    """One application of the map: R - vv* with v = R^{1/2} u."""
-    A = matcore.hermitian_part(R)
-    x = _unit_direction(u)
-    if A.shape[0] != x.shape[0]:
-        raise DimensionMismatch("matrix and direction dimensions differ")
-    v = matcore.psd_sqrt(A, rank_tol) @ x
-    return matcore.hermitian_part(A - np.outer(v, v.conj()))
+    """One application of the map: R - vv* with v = R^{1/2} u, |u| = 1."""
+    return weighted_step(R, _unit_direction(u), rank_tol)
 
 
 def weighted_step(T, w, rank_tol: float = RANK_TOL_DEFAULT) -> np.ndarray:
@@ -172,29 +167,23 @@ class WRTrace:
 
 
 class _ResidualTracker:
-    """Per-step certification of the stabilized block dynamics."""
+    """Per-step certification of the stabilized block dynamics.
 
-    def __init__(
-        self,
-        active: ActiveBlock,
-        coupling_tol: float,
-        rank_tol: float = RANK_TOL_DEFAULT,
-    ):
+    Each residual is one :mod:`identities` call. The start values come from
+    the first iterate processed, which is the active block itself.
+    """
+
+    def __init__(self, active: ActiveBlock, cfg: WRConfig):
         self.e = active.defect_direction
         self.tau = active.tau
         self.rho = active.rho
         self.start = active.start
         self.dim_e = active.basis.shape[1]
-        self.rank_tol = rank_tol
+        self.rank_tol = cfg.rank_tol
+        self.coupling_tol = cfg.coupling_tol
         self.norm_start = matcore.opnorm(active.block)
         self.det_floor = 1e3 * EPS * max(self.norm_start, EPS)
-        coords0 = identities.block_coordinates(active.block, self.e)
-        self.trB_start = coords0.transverse_trace
-        self.a_start = coords0.defect_diag
-        self.B_start = coords0.transverse
-        self.decoupled = coords0.coupling_norm <= coupling_tol * max(
-            1.0, self.norm_start
-        )
+        self.coords_start: Optional[identities.BlockCoordinates] = None
         self.stats_start: Optional[identities.InverseStats] = None
         self.sum_y2 = 0.0
         self.store_coords = self.dim_e <= EIGENVALUE_STORE_LIMIT
@@ -202,19 +191,22 @@ class _ResidualTracker:
         self._prev = None  # (coords, det, block, trusted)
 
     def _trusted(self, lam_min: float, lam_max: float) -> bool:
-        # The second clause keeps the predicate at least as strict as the
-        # positivity gate inside the inverse-based checks, so a block that
-        # collapses to zero stops being checked instead of failing hard.
+        # The second clause applies the inverse-based checks' positivity gate
+        # to the engine's eigenvalues, so a block that collapses to zero
+        # stops being checked instead of failing hard.
         return lam_min >= max(
             self.det_floor, INV_COND_GUARD * lam_max
-        ) and lam_min > self.rank_tol * max(1.0, lam_max)
+        ) and identities.strictly_positive(lam_min, lam_max, self.rank_tol)
 
     def process(
         self, record: StepRecord, T: np.ndarray, w: np.ndarray, root: np.ndarray
     ):
         """Certify iterate ``T`` given its ascending eigenvalues and its root."""
         n = record.n
+        steps = n - self.start
         coords = identities.block_coordinates(T, self.e, root=root)
+        if self.coords_start is None:
+            self.coords_start = coords
         det = float(np.prod(w))
         trusted = self._trusted(w[0], abs(w[-1]))
         res: dict[str, float] = {}
@@ -229,9 +221,9 @@ class _ResidualTracker:
             res["B_decrement"] = identities.check_B_decrement(
                 prev_coords, coords, self.tau
             )
-            res["summability"] = abs(
-                self.tau * self.sum_y2 - (self.trB_start - coords.transverse_trace)
-            ) / max(1.0, abs(self.trB_start))
+            res["summability"] = identities.summability_residual(
+                self.tau, self.sum_y2, self.coords_start, coords
+            )
             if trusted and prev_trusted:
                 res["det_decay"] = identities.check_det_decay(prev_det, det, self.tau)
                 res["inv_update"] = identities.check_inverse_update(
@@ -241,34 +233,21 @@ class _ResidualTracker:
             stats = identities.inverse_stats(T, self.e, rank_tol=self.rank_tol)
             if self.stats_start is None:
                 self.stats_start = stats
-            res["beta_bound"] = max(
-                0.0,
-                identities.defect_inverse_floor(
-                    self.stats_start, self.tau, self.norm_start, n - self.start
-                )
-                - stats.inv_defect,
+            beta, s, lam = identities.growth_violations(
+                self.stats_start, stats, self.tau, self.norm_start, steps, self.dim_e
             )
-            res["s_bound"] = max(
-                0.0,
-                identities.trace_inverse_floor(
-                    self.stats_start, self.tau, self.norm_start, n - self.start
-                )
-                - stats.inv_trace,
-            )
-            res["lambda_min_bound"] = max(
-                0.0, stats.lambda_min - self.dim_e / stats.inv_trace
-            )
+            res["beta_bound"] = max(0.0, beta)
+            res["s_bound"] = max(0.0, s)
+            res["lambda_min_bound"] = max(0.0, lam)
         elif self.inverse_stopped is None:
             self.inverse_stopped = n
             logger.info("inverse-side checks stopped at step %d (conditioning)", n)
-        if self.decoupled:
-            ev = self.e
-            predicted = (self.rho ** (n - self.start)) * self.a_start * np.outer(
-                ev, ev.conj()
-            ) + self.B_start
-            res["transverse_persistence"] = matcore.hermitian_norm(
-                T - predicted
-            ) / max(1.0, self.norm_start)
+        if identities.is_decoupled(
+            self.coords_start, self.norm_start, self.coupling_tol
+        ):
+            res["transverse_persistence"] = identities.transverse_deviation(
+                self.coords_start, T, self.e, self.rho, steps, self.norm_start
+            )
 
         record.block_coords = coords if self.store_coords else None
         record.block_det = det
@@ -318,36 +297,6 @@ def extract_active_block(R, u, rank_tol: float = RANK_TOL_DEFAULT) -> ActiveBloc
     if basis.shape[1] == 0:
         raise EmptySupport("iterate has numerical rank 0")
     return _build_active(A, x, basis, start=0, rank_tol=rank_tol)
-
-
-def detect_stabilization(
-    iterates: Sequence[np.ndarray],
-    rank_tol: float = RANK_TOL_DEFAULT,
-    stab_window: int = 3,
-) -> Optional[int]:
-    """Smallest index N from which rank and range persist to the end.
-
-    Persistence means: every later iterate has the rank of iterate N and its
-    range stays within principal-angle sine ``sqrt(rank_tol)`` of range(R_N).
-    The persistent tail must be at least ``stab_window`` iterates long.
-    """
-    mats = [matcore.hermitian_part(M) for M in iterates]
-    if not mats:
-        return None
-    ranks = [matcore.numerical_rank(M, rank_tol) for M in mats]
-    bases = [matcore.range_basis(M, rank_tol) for M in mats]
-    sine_tol = float(np.sqrt(rank_tol))
-    for start in range(len(mats)):
-        if len(mats) - start < stab_window:
-            break
-        if any(r != ranks[start] for r in ranks[start + 1 :]):
-            continue
-        if all(
-            matcore.subspace_sine(bases[start], bases[n]) <= sine_tol
-            for n in range(start + 1, len(mats))
-        ):
-            return start
-    return None
 
 
 def iterate(cfg: WRConfig) -> WRTrace:
@@ -461,9 +410,7 @@ def iterate(cfg: WRConfig) -> WRTrace:
                         active.tau,
                     )
                     if cfg.compute_residuals and active.tau > cfg.rank_tol:
-                        tracker = _ResidualTracker(
-                            active, cfg.coupling_tol, rank_tol=cfg.rank_tol
-                        )
+                        tracker = _ResidualTracker(active, cfg)
                     S, x = active.block.copy(), active.weight_vector
                     pad = dim - basis.shape[1]
                     dec = matcore.eigh(S)

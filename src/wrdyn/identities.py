@@ -149,11 +149,7 @@ def check_det_decay(prev_det: float, next_det: float, tau: float) -> float:
     return abs(next_det / (rho * prev_det) - 1.0)
 
 
-def check_summability(
-    coords_seq: Sequence[BlockCoordinates],
-    tau: float,
-    final_transverse_trace: Optional[float] = None,
-) -> float:
+def check_summability(coords_seq: Sequence[BlockCoordinates], tau: float) -> float:
     """Telescoped energy balance: tau * sum |y_n|^2 = tr B_first - tr B_last.
 
     Requires a converged tail: raises :class:`NotConverged` when the last
@@ -165,13 +161,15 @@ def check_summability(
     if np.linalg.norm(coords_seq[-1].root_coupling) > 1e-6:
         raise NotConverged("sequence truncated: final root coupling above 1e-6")
     total = sum(c.root_coupling_sq for c in coords_seq[:-1])
-    tr_first = coords_seq[0].transverse_trace
-    tr_last = (
-        final_transverse_trace
-        if final_transverse_trace is not None
-        else coords_seq[-1].transverse_trace
-    )
-    return abs(tau * total - (tr_first - tr_last)) / max(1.0, abs(tr_first))
+    return summability_residual(tau, total, coords_seq[0], coords_seq[-1])
+
+
+def summability_residual(
+    tau: float, sum_y2: float, first: BlockCoordinates, last: BlockCoordinates
+) -> float:
+    """Energy balance over a stretch: tau * sum |y|^2 against tr B_first - tr B_last."""
+    tr_first, tr_last = first.transverse_trace, last.transverse_trace
+    return abs(tau * sum_y2 - (tr_first - tr_last)) / max(1.0, abs(tr_first))
 
 
 def check_offdiag_collapse(
@@ -189,15 +187,19 @@ def check_offdiag_collapse(
     return max(0.0, worst) / max(1.0, norm_t0**2)
 
 
-def _strict_inverse(T, rank_tol: float):
+def strictly_positive(lam_min: float, lam_max: float, rank_tol: float) -> bool:
+    """The strict-positivity gate: lambda_min > rank_tol * max(1, lambda_max)."""
+    return lam_min > rank_tol * max(1.0, lam_max)
+
+
+def _strict_spectrum(T, rank_tol: float):
+    """Eigenpairs ``(w, V)`` of a block that must be strictly positive."""
     w, V = np.linalg.eigh(matcore.hermitian_part(np.asarray(T, dtype=np.complex128)))
-    if w[0] <= rank_tol * max(1.0, w[-1]):
+    if not strictly_positive(w[0], w[-1], rank_tol):
         raise NotStrictlyPositive(
             f"block has lambda_min {w[0]:.3e}, not strictly positive"
         )
-    inv = (V / w) @ V.conj().T
-    invroot = (V / np.sqrt(w)) @ V.conj().T
-    return w, inv, invroot
+    return w, V
 
 
 def check_inverse_update(
@@ -211,10 +213,11 @@ def check_inverse_update(
     """
     rho = _check_weight(tau)
     ev = _unit(e)
-    _, inv_cur, invroot_cur = _strict_inverse(T_cur, rank_tol)
-    _, inv_next, _ = _strict_inverse(T_next, rank_tol)
-    v = invroot_cur @ ev
-    D = inv_next - inv_cur
+    w, V = _strict_spectrum(T_cur, rank_tol)
+    w_next, V_next = _strict_spectrum(T_next, rank_tol)
+    inv_cur = (V / w) @ V.conj().T
+    v = ((V / np.sqrt(w)) @ V.conj().T) @ ev
+    D = (V_next / w_next) @ V_next.conj().T - inv_cur
     formula = matcore.hermitian_norm(D - (tau / rho) * np.outer(v, v.conj())) / max(
         1.0, matcore.hermitian_norm(inv_cur)
     )
@@ -228,12 +231,7 @@ def inverse_stats(
 ) -> InverseStats:
     """Inverse scalars of a strictly positive block."""
     ev = _unit(e)
-    Tm = matcore.hermitian_part(np.asarray(T, dtype=np.complex128))
-    w, V = np.linalg.eigh(Tm)
-    if w[0] <= rank_tol * max(1.0, w[-1]):
-        raise NotStrictlyPositive(
-            f"block has lambda_min {w[0]:.3e}, not strictly positive"
-        )
+    w, V = _strict_spectrum(T, rank_tol)
     proj = V.conj().T @ ev
     beta = float(np.sum(np.abs(proj) ** 2 / w))
     return InverseStats(
@@ -263,6 +261,22 @@ def trace_inverse_floor(
     )
 
 
+def growth_violations(
+    start: InverseStats,
+    stats: InverseStats,
+    tau: float,
+    norm_t0: float,
+    steps: int,
+    dim_e: int,
+) -> tuple[float, float, float]:
+    """Signed violations of the beta, trace and lambda_min bounds ``steps`` in."""
+    return (
+        defect_inverse_floor(start, tau, norm_t0, steps) - stats.inv_defect,
+        trace_inverse_floor(start, tau, norm_t0, steps) - stats.inv_trace,
+        stats.lambda_min - dim_e / stats.inv_trace,
+    )
+
+
 @dataclass
 class GrowthBounds:
     """Aggregated violations of the inverse growth bounds over a run.
@@ -288,23 +302,33 @@ def check_growth_bounds(
     """Check the inverse growth bounds along a run starting at ``stats_seq[0]``."""
     _check_weight(tau)
     start = stats_seq[0]
-    beta_v = 0.0
-    s_v = 0.0
-    lam_v = 0.0
-    c_best = 0.0
-    for n, st in enumerate(stats_seq):
-        beta_v = max(beta_v, defect_inverse_floor(start, tau, norm_t0, n) - st.inv_defect)
-        s_v = max(s_v, trace_inverse_floor(start, tau, norm_t0, n) - st.inv_trace)
-        lam_v = max(lam_v, st.lambda_min - dim_e / st.inv_trace)
-        if n >= 1:
-            c_best = max(c_best, n * n * dim_e / st.inv_trace)
+    violations = [
+        growth_violations(start, st, tau, norm_t0, n, dim_e)
+        for n, st in enumerate(stats_seq)
+    ]
+    beta_v, s_v, lam_v = (max([0.0, *col]) for col in zip(*violations))
+    constants = [n * n * dim_e / st.inv_trace for n, st in enumerate(stats_seq) if n]
     return GrowthBounds(
-        beta_bound=max(0.0, beta_v),
-        s_bound=max(0.0, s_v),
-        lambda_min_bound=max(0.0, lam_v),
-        tightest_constant=c_best,
+        beta_bound=beta_v,
+        s_bound=s_v,
+        lambda_min_bound=lam_v,
+        tightest_constant=max([0.0, *constants]),
         steps_checked=len(stats_seq),
     )
+
+
+def is_decoupled(start: BlockCoordinates, norm_t0: float, coupling_tol: float) -> bool:
+    """Decoupling predicate: |b_0| <= coupling_tol * max(1, ||T_0||)."""
+    return start.coupling_norm <= coupling_tol * max(1.0, norm_t0)
+
+
+def transverse_deviation(
+    start: BlockCoordinates, T, e, rho: float, steps: int, norm_t0: float
+) -> float:
+    """Distance of T_n from the decoupled evolution (1-tau)^n a_0 ee* + B_0."""
+    ee = np.outer(e, e.conj())
+    predicted = (rho**steps) * start.defect_diag * ee + start.transverse
+    return matcore.hermitian_norm(np.asarray(T) - predicted) / max(1.0, norm_t0)
 
 
 def check_transverse_persistence(
@@ -315,25 +339,22 @@ def check_transverse_persistence(
 ) -> float:
     """Decoupled evolution: T_n = (1-tau)^n a_0 ee* + B_0 when b_0 = 0.
 
-    Raises :class:`NotDecoupled` when the starting block actually couples the
-    defect direction to its complement.
+    The blocks must be Hermitian (:class:`NonHermitianInput` otherwise, since
+    the deviation is a Hermitian norm) and ``blocks[0]`` PSD: the start split
+    is :func:`block_coordinates`, which takes its root. Raises
+    :class:`NotDecoupled` when the starting block actually couples the defect
+    direction to its complement.
     """
     rho = _check_weight(tau)
     ev = _unit(e)
-    T0 = np.asarray(blocks[0], dtype=np.complex128)
-    norm0 = matcore.opnorm(T0)
-    t_e = T0 @ ev
-    ip = np.vdot(ev, t_e)
-    b0 = t_e - ip * ev
-    if np.linalg.norm(b0) > coupling_tol * max(1.0, norm0):
+    blocks = [matcore.require_hermitian(Tn) for Tn in blocks]
+    start = block_coordinates(blocks[0], ev)
+    norm0 = matcore.opnorm(blocks[0])
+    if not is_decoupled(start, norm0, coupling_tol):
         raise NotDecoupled(
-            f"starting coupling norm {np.linalg.norm(b0):.3e} beyond tolerance"
+            f"starting coupling norm {start.coupling_norm:.3e} beyond tolerance"
         )
-    a0 = float(ip.real)
-    ee = np.outer(ev, ev.conj())
-    B0 = T0 - np.outer(ev, t_e.conj()) - np.outer(t_e, ev.conj()) + ip * ee
-    worst = 0.0
-    for n, Tn in enumerate(blocks):
-        predicted = (rho**n) * a0 * ee + B0
-        worst = max(worst, matcore.opnorm(np.asarray(Tn) - predicted))
-    return worst / max(1.0, norm0)
+    return max(
+        transverse_deviation(start, Tn, ev, rho, n, norm0)
+        for n, Tn in enumerate(blocks)
+    )

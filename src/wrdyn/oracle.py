@@ -43,6 +43,7 @@ __all__ = [
     "half_weight_recursion",
     "general_weight_recursion",
     "cross_validate",
+    "det_trusted",
 ]
 
 SEQ_COUPLING = "coupling_ratio"
@@ -244,6 +245,14 @@ def _relative_error(matrix_value: float, scalar_value: float) -> float:
     return abs(matrix_value)
 
 
+def det_trusted(record) -> bool:
+    """Determinant trust test on a record's block: det / tr^2 >= DET_TRUST_RATIO."""
+    coords = record.block_coords
+    block_trace = coords.defect_diag + coords.transverse_trace
+    det = record.block_det if record.block_det is not None else 0.0
+    return block_trace > 0.0 and det / (block_trace * block_trace) >= DET_TRUST_RATIO
+
+
 def cross_validate(trace, scalar: ScalarTrace, tol: float = 1e-10) -> ValidationReport:
     """Compare a matrix-engine trace against a scalar trace step by step.
 
@@ -289,20 +298,18 @@ def cross_validate(trace, scalar: ScalarTrace, tol: float = 1e-10) -> Validation
         record = matrix_records[k]
         coords = record.block_coords
         d_mat = coords.transverse_trace
-        block_trace = coords.defect_diag + d_mat
-        det_mat = record.block_det if record.block_det is not None else 0.0
 
         comparisons = [
             (SEQ_COUPLING, coords.coupling_norm / d_mat, scalar.coupling_ratio[k]),
             (SEQ_TRANSVERSE, d_mat, scalar.transverse_diag[k]),
         ]
-        if block_trace > 0.0 and det_mat / (block_trace * block_trace) >= DET_TRUST_RATIO:
+        if det_trusted(record):
             det_steps += 1
             comparisons.insert(
                 1,
                 (
                     SEQ_ROOT_DET,
-                    math.sqrt(det_mat) / d_mat,
+                    math.sqrt(record.block_det) / d_mat,
                     scalar.root_det_ratio[k],
                 ),
             )

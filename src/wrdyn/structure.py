@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from . import dynamics, matcore
+from . import dynamics, identities, matcore
 from .errors import (
     DimensionMismatch,
     InvalidDirection,
@@ -208,7 +208,7 @@ def classify_active_dim2(
             f"weight-squared must lie strictly between 0 and 1, got {tau!r}"
         )
     w = np.linalg.eigvalsh(matcore.hermitian_part(T0))
-    if w[0] <= rank_tol * max(1.0, float(w[-1])):
+    if not identities.strictly_positive(w[0], w[-1], rank_tol):
         raise NotStrictlyPositive(
             f"block must be strictly positive, smallest eigenvalue {w[0]!r}"
         )

@@ -127,19 +127,63 @@ def test_stabilization_residuals_certify_canonical_run():
     assert 15 <= tr.inverse_checks_stopped_at <= 40
 
 
-@pytest.mark.parametrize("case", ["canonical", "wishart-4"])
-def test_tracker_residuals_equal_the_offline_checks(case):
+W_HALF = np.array([np.sqrt(0.5), 0.0])
+
+
+@pytest.mark.parametrize(
+    "run, min_records, offline",
+    [
+        # the canonical block at tau = 0.5
+        pytest.param(
+            lambda: dynamics.iterate(dynamics.WRConfig(*canonical_instance(), max_iter=1000)),
+            100,
+            None,
+            id="canonical",
+        ),
+        pytest.param(
+            lambda: dynamics.iterate(
+                dynamics.WRConfig(*ensembles.sweep_instance("wishart", 4, 0.5, 0), max_iter=1000)
+            ),
+            100,
+            None,
+            id="wishart-4",
+        ),
+        pytest.param(
+            lambda: dynamics.iterate_weighted(
+                ensembles.coupled_block(0.5, 0.5, 2.0), W_HALF, conv_tol=1e-15
+            ),
+            100,
+            "summability",
+            id="coupled-0.5-0.5-2",
+        ),
+        pytest.param(
+            lambda: dynamics.iterate_weighted(
+                ensembles.coupled_block(2.0, 0.3, 1.0), W_HALF, conv_tol=1e-15
+            ),
+            100,
+            "summability",
+            id="coupled-2-0.3-1",
+        ),
+        pytest.param(
+            lambda: dynamics.iterate_weighted(
+                ensembles.decoupled_block(0.7, 1.3), W_HALF, keep_iterates=True
+            ),
+            30,
+            "transverse_persistence",
+            id="decoupled-0.7-1.3",
+        ),
+    ],
+)
+def test_tracker_residuals_equal_the_offline_checks(run, min_records, offline):
     # The tracker folds the identities over the run: applied to the stored
-    # block coordinates, the offline checkers give each record's residual.
-    if case == "canonical":
-        R, u = canonical_instance()  # the canonical block at tau = 0.5
-    else:
-        R, u = ensembles.sweep_instance("wishart", 4, 0.5, 0)
-    tr = dynamics.iterate(dynamics.WRConfig(R, u, max_iter=1000))
+    # block coordinates (or kept blocks), the offline checkers give each
+    # record's residual. Summability needs a converged tail (final |y| <=
+    # 1e-6), hence conv_tol 1e-15; transverse persistence a decoupled start.
+    tr = run()
     active = tr.active
     norm_t0 = matcore.opnorm(active.block)
     recs = tr.records[active.start :]
-    assert len(recs) > 100
+    assert len(recs) > min_records
     assert "a_recursion" not in recs[0].residuals
     assert recs[0].residuals["offdiag_cs"] == identities.check_offdiag_collapse(
         [recs[0].block_coords], norm_t0
@@ -150,6 +194,34 @@ def test_tracker_residuals_equal_the_offline_checks(case):
         assert res["a_recursion"] == identities.check_a_recursion(p, c, active.tau)
         assert res["B_decrement"] == identities.check_B_decrement(p, c, active.tau)
         assert res["offdiag_cs"] == identities.check_offdiag_collapse([c], norm_t0)
+    if offline == "summability":
+        assert tr.converged
+        coords = [r.block_coords for r in recs]
+        assert recs[-1].residuals["summability"] == identities.check_summability(
+            coords, active.tau
+        )
+    if offline == "transverse_persistence":
+        blocks = [matcore.compress(A, active.basis) for A in tr.iterates[active.start :]]
+        value = identities.check_transverse_persistence(
+            blocks, active.defect_direction, active.tau
+        )
+        assert abs(tr.run_residuals["transverse_persistence"] - value) <= 1e-15
+
+
+def test_tracker_splits_each_iterate_once(monkeypatch):
+    # The tracker's start coordinates are those of its first iterate: one
+    # coordinate split per certified record, none extra per run.
+    calls = []
+    split = identities.block_coordinates
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "block_coordinates", counted)
+    R, u = canonical_instance()
+    tr = dynamics.iterate(dynamics.WRConfig(R, u, max_iter=60))
+    assert len(calls) == sum(rec.block_coords is not None for rec in tr.records) == 61
 
 
 def test_block_sequence_matches_frozen_second_step():
@@ -188,22 +260,6 @@ def test_max_iter_flags_partial_trace():
     assert tr.max_iter_exceeded and not tr.converged
     assert [rec.n for rec in tr.records] == [0, 1]
     assert tr.limit_estimate is not None
-
-
-def test_detect_stabilization_examples():
-    u = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-    P = np.outer(u, u.conj())
-    drop_once = [np.eye(3), np.eye(3) - P, np.eye(3) - P, np.eye(3) - P]
-    assert dynamics.detect_stabilization(drop_once, stab_window=2) == 1
-    assert dynamics.detect_stabilization(drop_once[:2], stab_window=2) is None
-
-    R, v = canonical_instance()
-    seq = [R]
-    for _ in range(3):
-        seq.append(dynamics.wr_step(seq[-1], v))
-    assert dynamics.detect_stabilization(seq, stab_window=3) == 0
-
-    assert dynamics.detect_stabilization([], stab_window=2) is None
 
 
 def test_extract_active_block_canonical_and_empty():

@@ -17,6 +17,7 @@ import pytest
 
 from wrdyn import identities, matcore
 from wrdyn.errors import (
+    NonHermitianInput,
     NotConverged,
     NotDecoupled,
     NotStrictlyPositive,
@@ -159,6 +160,12 @@ def test_transverse_persistence_exact_decoupled():
     assert identities.check_transverse_persistence(blocks, E1, TAU) <= 1e-15
     with pytest.raises(NotDecoupled):
         identities.check_transverse_persistence([canonical_block()], E1, TAU)
+    # the deviation is a Hermitian norm, so a block off the Hermitian
+    # matrices is rejected instead of measured on its lower triangle only
+    skewed = np.diag([0.25, 1.0]).astype(complex)
+    skewed[0, 1] = 1e-3
+    with pytest.raises(NonHermitianInput):
+        identities.check_transverse_persistence(blocks[:2] + [skewed], E1, TAU)
 
 
 def test_summability_requires_converged_tail():
