@@ -96,9 +96,14 @@ class SpecError(WRDynError):
 # Spec parsing and serialization helpers
 
 
+def _is_number(value: Any, kinds: Any = (int, float)) -> bool:
+    # JSON true/false load as Python bools, which are ints to isinstance
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _parse_scalar(value: Any, path: str) -> complex:
     parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value, 0]
-    if not all(isinstance(p, (int, float)) for p in parts):
+    if not all(_is_number(p) for p in parts):
         raise SpecError(f"{path}: expected a number or an [re, im] pair, got {value!r}")
     if not all(math.isfinite(p) for p in parts):
         raise SpecError(f"{path}: expected a finite number, got {value!r}")
@@ -183,9 +188,15 @@ def _load_json(path: str) -> Any:
 
 
 def _require_positive(value: Any, path: str) -> float:
-    if not isinstance(value, (int, float)) or not value > 0.0 or not math.isfinite(value):
+    if not _is_number(value) or not value > 0.0 or not math.isfinite(value):
         raise SpecError(f"{path}: expected a positive finite number, got {value!r}")
     return float(value)
+
+
+def _require_count(value: Any, path: str) -> int:
+    if not _is_number(value, int) or value < 1:
+        raise SpecError(f"{path}: expected an integer >= 1, got {value!r}")
+    return value
 
 
 def parse_run_spec(path: str) -> RunSpec:
@@ -216,10 +227,7 @@ def parse_run_spec(path: str) -> RunSpec:
         if key in tols:
             setattr(spec, attr, _require_positive(tols[key], f"{path}: tolerances.{key}"))
     if "max_iter" in data:
-        mi = data["max_iter"]
-        if not isinstance(mi, int) or mi < 1:
-            raise SpecError(f"{path}: max_iter: expected an integer >= 1, got {mi!r}")
-        spec.max_iter = mi
+        spec.max_iter = _require_count(data["max_iter"], f"{path}: max_iter")
     outputs = data.get("outputs", {})
     if not isinstance(outputs, dict):
         raise SpecError(f"{path}: outputs: expected an object")
@@ -237,21 +245,21 @@ def parse_sweep_spec(path: str) -> SweepSpec:
         raise SpecError(f"{path}: top level must be a JSON object")
     dims = data.get("dims")
     if not isinstance(dims, list) or not dims or not all(
-        isinstance(d, int) and d >= 2 for d in dims
+        _is_number(d, int) and d >= 2 for d in dims
     ):
         raise SpecError(f"{path}: dims: expected a nonempty list of integers >= 2")
     taus = data.get("tau_targets", [0.5])
     if not isinstance(taus, list) or not taus or not all(
-        isinstance(t, (int, float)) and 0.0 < t < 1.0 for t in taus
+        _is_number(t) and 0.0 < t < 1.0 for t in taus
     ):
         raise SpecError(f"{path}: tau_targets: expected a nonempty list of reals in (0, 1)")
     seeds_raw = data.get("seeds")
-    if isinstance(seeds_raw, int) and seeds_raw > 0:
+    if _is_number(seeds_raw, int) and seeds_raw > 0:
         seeds = list(range(seeds_raw))
     elif (
         isinstance(seeds_raw, list)
         and len(seeds_raw) == 2
-        and all(isinstance(s, int) for s in seeds_raw)
+        and all(_is_number(s, int) for s in seeds_raw)
         and seeds_raw[0] < seeds_raw[1]
     ):
         seeds = list(range(seeds_raw[0], seeds_raw[1]))
@@ -274,10 +282,7 @@ def parse_sweep_spec(path: str) -> SweepSpec:
         collect_residual_max=bool(collect.get("residual_max", True)),
     )
     if "max_iter" in data:
-        mi = data["max_iter"]
-        if not isinstance(mi, int) or mi < 1:
-            raise SpecError(f"{path}: max_iter: expected an integer >= 1, got {mi!r}")
-        spec.max_iter = mi
+        spec.max_iter = _require_count(data["max_iter"], f"{path}: max_iter")
     return spec
 
 
@@ -392,9 +397,7 @@ def _report_payload(report: structure.InstanceReport, exit_code: int) -> Dict[st
         },
         "limit_estimate": matrix_to_json(cls.numerical_limit),
         "residual_max": dict(trace.run_residuals),
-        "stationarity": None
-        if report.stationarity is None
-        else {
+        "stationarity": {
             "passed": report.stationarity.passed,
             "residuals": dict(report.stationarity.residuals),
             "tol": report.stationarity.tol,
@@ -714,11 +717,11 @@ def _configure_logging() -> None:
 
 def _apply_overrides(spec, args: argparse.Namespace) -> None:
     if args.rank_tol is not None:
-        spec.rank_tol = args.rank_tol
+        spec.rank_tol = _require_positive(args.rank_tol, "--rank-tol")
     if args.conv_tol is not None:
-        spec.conv_tol = args.conv_tol
+        spec.conv_tol = _require_positive(args.conv_tol, "--conv-tol")
     if args.max_iter is not None:
-        spec.max_iter = args.max_iter
+        spec.max_iter = _require_count(args.max_iter, "--max-iter")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -765,7 +768,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_check(spec, inject_error=args.inject_error)
         spec = parse_sweep_spec(args.spec)
         _apply_overrides(spec, args)
-        return cmd_sweep(spec, args.out, args.workers)
+        workers = None if args.workers is None else _require_count(args.workers, "--workers")
+        return cmd_sweep(spec, args.out, workers)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR

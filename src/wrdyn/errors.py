@@ -23,10 +23,6 @@ class IndefiniteInput(WRDynError):
     """A matrix expected to be PSD has an eigenvalue below the clamp tolerance."""
 
 
-class DegenerateInput(WRDynError):
-    """A closed-form operation received input outside its formula's domain."""
-
-
 class ZeroVector(WRDynError):
     """A vector expected to be nonzero has norm zero."""
 

@@ -9,7 +9,7 @@ stationary points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,12 +35,16 @@ ALL_KINDS = (
     KIND_UNKNOWN,
 )
 
-# Commutator size below which a 2x2 pair is treated as simultaneously
-# diagonalizable.
-COMMUTATOR_TOL = 1e-10
-
 # Weight-squared above this is treated as full weight on the active block.
 _FULL_WEIGHT_CUT = 1.0 - 1e-9
+
+# Outcome of the dimension-2 dichotomy, by (full weight, decoupled).
+_DIM2_OUTCOMES = {
+    (True, True): (KIND_COMMUTING_COMPRESSION, "commuting-compression"),
+    (True, False): (KIND_DIM2_COLLAPSE, "noncommuting-two-dim-collapse"),
+    (False, True): (KIND_TRANSVERSE_PERSISTENCE, "decoupled-active-block"),
+    (False, False): (KIND_ACTIVE_DIM2, "coupled-active-two-dim"),
+}
 
 
 @dataclass(frozen=True)
@@ -145,41 +149,50 @@ def _unit_or_raise(u: np.ndarray, dim: int) -> np.ndarray:
     return u
 
 
+def _dichotomy(
+    T: np.ndarray, w: np.ndarray, full_weight: bool, tol: float
+) -> Tuple[identities.BlockCoordinates, str, str, np.ndarray]:
+    """Decide the active-dimension-2 dichotomy for block ``T`` under weight ``w``.
+
+    The split along ``e = w/|w|`` and the decoupling test are those of the
+    certificates (:func:`identities.block_coordinates`,
+    :func:`identities.is_decoupled`), so the classifiers, the tracker and the
+    offline checks cannot disagree.  A decoupled block keeps its transverse
+    part ``Q T Q``; any coupling drags the whole block to zero.  Returns the
+    split, the kind, the rule and the predicted limit.
+    """
+    coords = identities.block_coordinates(T, w)
+    decoupled = identities.is_decoupled(coords, matcore.opnorm(T), tol)
+    kind, rule = _DIM2_OUTCOMES[full_weight, decoupled]
+    limit = coords.transverse if decoupled else np.zeros((2, 2), dtype=np.complex128)
+    return coords, kind, rule, limit
+
+
 def classify_dim2_fullspace(R: np.ndarray, u: np.ndarray) -> ClassificationResult:
     """Classify the full-weight two-dimensional case.
 
     If the rank-one projection onto ``u`` commutes with ``R``, the limit is the
     compression of ``R`` to the complement of ``u``; otherwise the iteration
-    collapses to zero.
+    collapses to zero.  ``R`` must be PSD (:class:`IndefiniteInput`
+    otherwise), since the split along ``u`` takes its root.
     """
     R = matcore._as_matrix(R)
     if R.shape != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 matrix, got {R.shape}")
     u = _unit_or_raise(u, 2)
-    P = np.outer(u, u.conj())
-    commutator = matcore.opnorm(P @ R - R @ P)
-    scale = matcore.opnorm(R)
-    b = R @ u - (np.vdot(u, R @ u)) * u
-    certificate = {
-        "tau": 1.0,
-        "coupling": float(np.linalg.norm(b)),
-        "commutator": float(commutator),
-        "active_dim": 2.0,
-    }
-    if commutator <= COMMUTATOR_TOL * scale:
-        Q = np.eye(2, dtype=np.complex128) - P
-        limit = matcore.hermitian_part(Q @ R @ Q)
-        return ClassificationResult(
-            kind=KIND_COMMUTING_COMPRESSION,
-            predicted_limit=limit,
-            rule="commuting-compression",
-            certificate=certificate,
-        )
+    coords, kind, rule, limit = _dichotomy(R, u, True, dynamics.COUPLING_TOL_DEFAULT)
+    # For a unit u, [uu*, R] = u b* - b u*, whose norm is |b|.
+    coupling = coords.coupling_norm
     return ClassificationResult(
-        kind=KIND_DIM2_COLLAPSE,
-        predicted_limit=np.zeros((2, 2), dtype=np.complex128),
-        rule="noncommuting-two-dim-collapse",
-        certificate=certificate,
+        kind=kind,
+        predicted_limit=limit,
+        rule=rule,
+        certificate={
+            "tau": 1.0,
+            "coupling": coupling,
+            "commutator": coupling,
+            "active_dim": 2.0,
+        },
     )
 
 
@@ -191,10 +204,9 @@ def classify_active_dim2(
 ) -> ClassificationResult:
     """Classify a strictly positive 2x2 block under a strict sub-unit weight.
 
-    In the frame ``{e, f}`` with ``e`` the normalized weight vector and ``f``
-    phased so the off-diagonal entry is real nonnegative: a decoupled block
-    keeps its transverse diagonal forever while the weighted entry dies
-    geometrically; any genuine coupling drags the whole block to zero.
+    With ``e`` the normalized weight vector: a decoupled block keeps its
+    transverse part forever while the weighted entry dies geometrically; any
+    genuine coupling drags the whole block to zero.
     """
     T0 = matcore._as_matrix(T0)
     if T0.shape != (2, 2):
@@ -212,35 +224,18 @@ def classify_active_dim2(
         raise NotStrictlyPositive(
             f"block must be strictly positive, smallest eigenvalue {w[0]!r}"
         )
-    e = u_E / np.linalg.norm(u_E)
-    f = matcore.orth_complement(e.reshape(2, 1))[:, 0]
-    b_raw = np.vdot(f, T0 @ e)
-    if abs(b_raw) > 0.0:
-        f = f * (b_raw / abs(b_raw))
-    coupling = float(abs(b_raw))
-    defect_diag = float(np.vdot(e, T0 @ e).real)
-    transverse_diag = float(np.vdot(f, T0 @ f).real)
-    scale = matcore.opnorm(T0)
-    certificate = {
-        "tau": tau,
-        "coupling": coupling,
-        "active_dim": 2.0,
-        "defect_diag": defect_diag,
-        "transverse_diag": transverse_diag,
-    }
-    if coupling <= coupling_tol * scale:
-        limit = matcore.hermitian_part(transverse_diag * np.outer(f, f.conj()))
-        return ClassificationResult(
-            kind=KIND_TRANSVERSE_PERSISTENCE,
-            predicted_limit=limit,
-            rule="decoupled-active-block",
-            certificate=certificate,
-        )
+    coords, kind, rule, limit = _dichotomy(T0, u_E, False, coupling_tol)
     return ClassificationResult(
-        kind=KIND_ACTIVE_DIM2,
-        predicted_limit=np.zeros((2, 2), dtype=np.complex128),
-        rule="coupled-active-two-dim",
-        certificate=certificate,
+        kind=kind,
+        predicted_limit=limit,
+        rule=rule,
+        certificate={
+            "tau": tau,
+            "coupling": coords.coupling_norm,
+            "active_dim": 2.0,
+            "defect_diag": coords.defect_diag,
+            "transverse_diag": coords.transverse_trace,
+        },
     )
 
 
@@ -326,16 +321,14 @@ def analyze_instance(
     )
     trace = dynamics.iterate(cfg)
 
-    base_cert: Dict[str, float] = {
+    ambient_num = _embed(split, trace.limit_estimate)
+    classification = _classify_seed(split, trace, u_seed, rank_tol, coupling_tol)
+    classification.certificate = {
         "seed_dim": float(split.seed_dim),
         "frozen_dim": float(split.frozen_dim),
         "converged": 1.0 if trace.converged else 0.0,
+        **classification.certificate,
     }
-    ambient_num = _embed(split, trace.limit_estimate)
-
-    classification = _classify_seed(
-        split, trace, u_seed, rank_tol, coupling_tol, base_cert
-    )
     classification.numerical_limit = ambient_num
     if classification.kind == KIND_UNKNOWN:
         classification.certificate.setdefault(
@@ -360,48 +353,33 @@ def _classify_seed(
     u_seed: np.ndarray,
     rank_tol: float,
     coupling_tol: float,
-    base_cert: Dict[str, float],
 ) -> ClassificationResult:
-    """Apply the dimension-appropriate classifier to the stabilized block."""
+    """Apply the dimension-appropriate classifier to the stabilized block.
+
+    A seed of dimension at most 2 is its own active block under full weight;
+    a larger seed is classified through the block its run stabilized on.
+    """
     kdim = split.seed_dim
-
-    if kdim == 1:
-        # The direction is an eigenvector; one full-weight step annihilates it.
-        cert = {**base_cert, "tau": 1.0, "coupling": 0.0, "active_dim": 1.0}
-        return ClassificationResult(
-            kind=KIND_COMMUTING_COMPRESSION,
-            predicted_limit=_embed(split, np.zeros((1, 1), dtype=np.complex128)),
-            rule="commuting-compression",
-            certificate=cert,
-        )
-
-    if kdim == 2:
-        sub = classify_dim2_fullspace(split.active_seed, u_seed)
-        return ClassificationResult(
-            kind=sub.kind,
-            predicted_limit=_embed(split, sub.predicted_limit),
-            rule=sub.rule,
-            certificate={**base_cert, **sub.certificate},
-        )
-
-    active = trace.active
-    if active is None:
-        return ClassificationResult(
-            kind=KIND_UNKNOWN,
-            predicted_limit=None,
-            rule="no-stabilization-detected",
-            certificate=dict(base_cert),
-        )
-
-    tau = float(active.tau)
-    block = active.block
+    if kdim <= 2:
+        block, w, tau = split.active_seed, u_seed, 1.0
+        lift = lambda op: op  # noqa: E731
+    else:
+        active = trace.active
+        if active is None:
+            return ClassificationResult(
+                kind=KIND_UNKNOWN,
+                predicted_limit=None,
+                rule="no-stabilization-detected",
+                certificate={},
+            )
+        block, w, tau = active.block, active.weight_vector, float(active.tau)
+        lift = lambda op: active.basis @ op @ active.basis.conj().T  # noqa: E731
     edim = block.shape[0]
-    lift = lambda op: active.basis @ op @ active.basis.conj().T  # noqa: E731
 
     if tau <= rank_tol:
         # The weight has no overlap with the surviving support; the block is
         # already stationary and persists unchanged.
-        cert = {**base_cert, "tau": tau, "coupling": 0.0, "active_dim": float(edim)}
+        cert = {"tau": tau, "coupling": 0.0, "active_dim": float(edim)}
         return ClassificationResult(
             kind=KIND_COMMUTING_COMPRESSION,
             predicted_limit=_embed(split, lift(block)),
@@ -411,7 +389,7 @@ def _classify_seed(
 
     if edim == 1:
         # Scalar block under nonzero weight dies geometrically.
-        cert = {**base_cert, "tau": tau, "coupling": 0.0, "active_dim": 1.0}
+        cert = {"tau": tau, "coupling": 0.0, "active_dim": 1.0}
         return ClassificationResult(
             kind=KIND_COMMUTING_COMPRESSION,
             predicted_limit=_embed(split, np.zeros((kdim, kdim), dtype=np.complex128)),
@@ -421,20 +399,15 @@ def _classify_seed(
 
     if edim == 2:
         if tau >= _FULL_WEIGHT_CUT:
-            w = active.weight_vector / np.linalg.norm(active.weight_vector)
-            sub = classify_dim2_fullspace(block, w)
+            sub = classify_dim2_fullspace(block, w / np.linalg.norm(w))
         else:
             sub = classify_active_dim2(
-                block, active.weight_vector, rank_tol=rank_tol, coupling_tol=coupling_tol
+                block, w, rank_tol=rank_tol, coupling_tol=coupling_tol
             )
-        return ClassificationResult(
-            kind=sub.kind,
-            predicted_limit=_embed(split, lift(sub.predicted_limit)),
-            rule=sub.rule,
-            certificate={**base_cert, **sub.certificate},
-        )
+        sub.predicted_limit = _embed(split, lift(sub.predicted_limit))
+        return sub
 
-    cert = {**base_cert, "tau": tau, "active_dim": float(edim)}
+    cert = {"tau": tau, "active_dim": float(edim)}
     return ClassificationResult(
         kind=KIND_UNKNOWN,
         predicted_limit=None,

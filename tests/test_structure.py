@@ -8,6 +8,7 @@ import pytest
 from wrdyn import dynamics, matcore, structure
 from wrdyn.errors import (
     DimensionMismatch,
+    IndefiniteInput,
     InvalidDirection,
     NonFiniteInput,
     NotStrictlyPositive,
@@ -18,6 +19,9 @@ from wrdyn_helpers import canonical_block, canonical_instance, random_psd, rando
 
 E0_2 = np.array([1.0, 0.0], dtype=np.complex128)
 E0_3 = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
+# Norm below 1, coupling under coupling_tol * max(1, |T|): decoupled, although
+# the coupling exceeds coupling_tol * |T|.
+SMALL_DECOUPLED = np.array([[0.01, 5e-12], [5e-12, 0.005]])
 
 
 def _planted_4x4():
@@ -77,6 +81,11 @@ def test_classify_dim2_fullspace_cases():
     assert not res.predicted_limit.any()
     assert abs(res.certificate["commutator"] - 1.0) <= 1e-12
     assert abs(res.certificate["coupling"] - 1.0) <= 1e-12
+    assert res.certificate["commutator"] == res.certificate["coupling"]
+
+    res = structure.classify_dim2_fullspace(SMALL_DECOUPLED, E0_2)
+    assert res.kind == structure.KIND_COMMUTING_COMPRESSION
+    assert np.array_equal(res.predicted_limit.real, np.diag([0.0, 0.005]))
 
     v = np.array([1.0, 1.0j]) / np.sqrt(2.0)
     res = structure.classify_dim2_fullspace(3.0 * np.eye(2), v)
@@ -88,6 +97,8 @@ def test_classify_dim2_fullspace_cases():
         structure.classify_dim2_fullspace(np.eye(3), E0_3)
     with pytest.raises(InvalidDirection):
         structure.classify_dim2_fullspace(np.eye(2), np.array([1.0, 1.0]))
+    with pytest.raises(IndefiniteInput):
+        structure.classify_dim2_fullspace(np.diag([1.0, -1.0]), E0_2)
 
 
 def test_classify_active_dim2_decoupled_keeps_transverse_entry():
@@ -100,6 +111,15 @@ def test_classify_active_dim2_decoupled_keeps_transverse_entry():
     res = structure.classify_active_dim2(np.eye(2), np.array([0.6, 0.0]))
     assert res.kind == structure.KIND_TRANSVERSE_PERSISTENCE
     assert np.allclose(res.predicted_limit, np.diag([0.0, 1.0]), atol=1e-14)
+
+    # the classifier and the run's certificate tracker agree: decoupled
+    w = np.array([np.sqrt(0.5), 0.0])
+    res = structure.classify_active_dim2(SMALL_DECOUPLED, w)
+    assert res.kind == structure.KIND_TRANSVERSE_PERSISTENCE
+    assert np.array_equal(res.predicted_limit.real, np.diag([0.0, 0.005]))
+    trace = dynamics.iterate_weighted(SMALL_DECOUPLED, w)
+    assert all("transverse_persistence" in r.residuals for r in trace.records)
+    assert trace.run_residuals["transverse_persistence"] <= 1e-9
 
 
 def test_classify_active_dim2_coupled_collapses():
